@@ -17,8 +17,9 @@
 //! small deltas trickle in while queries outnumber updates > 10:1. The
 //! `fresh` row decodes from scratch on every query; the `cached` row
 //! answers through a generation-keyed [`DecodeCache`], so repeat queries
-//! are pure hits and the post-delta miss re-runs only the Boruvka groups
-//! whose rows the delta dirtied.
+//! are pure hits and the post-delta miss is one fresh decode. The
+//! record's `groups_reused`/`groups_recomputed` fields always read 0;
+//! they stay so every record in the file has the same schema.
 //!
 //! Every number is gated on **bit identity** before any clock starts:
 //! the three one-shot paths must agree edge for edge, and the cached
@@ -201,9 +202,8 @@ fn main() {
         black_box(sketch.decode_with(&DecodePlan::with_threads(8)));
     });
 
-    // ---- read-heavy delta workload. Drain the bulk-load dirty bits
-    // first: from here on the dirty bitmap tracks only the deltas, so
-    // the cached path's post-delta miss recomputes only touched groups.
+    // ---- read-heavy delta workload. The bulk-load dirty bits are
+    // drained first so the measured state matches earlier records.
     sketch.drain_dirty();
     let plan = DecodePlan::with_threads(1);
     let deltas: Vec<Vec<EdgeUpdate>> = (0..ROUNDS)

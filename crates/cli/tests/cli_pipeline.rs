@@ -257,22 +257,6 @@ fn decode_refuses_future_wire_format() {
 }
 
 #[test]
-fn serve_demo_snapshots_while_streaming() {
-    let stream = demo_stream(12);
-    let (out, err, code) = run(
-        &["serve-demo", "connectivity", "--n", "12", "--every", "5"],
-        &stream,
-    );
-    assert_eq!(code, 0, "serve-demo failed: {err}");
-    assert!(
-        err.contains("[snapshot @ 5 updates]"),
-        "no snapshot decode on stderr: {err}"
-    );
-    // The final answer still arrives on stdout, like a plain query.
-    assert!(out.contains("components:"), "no final answer: {out}");
-}
-
-#[test]
 fn stats_flag_reports_throughput() {
     let stream = demo_stream(10);
     let (_, err, code) = run(
@@ -517,15 +501,9 @@ fn truncated_binary_file_fails_loudly() {
 
 #[test]
 fn format_flag_is_refused_out_of_place() {
-    // --format on a plain query, serve-demo, or decode is a mistake; it
+    // --format on a plain query or decode is a mistake; it
     // must be refused, not silently ignored (PR 2 flag discipline).
     let (_, err, code) = run(&["connectivity", "--n", "4", "--format", "bin"], "+ 0 1\n");
-    assert_ne!(code, 0);
-    assert!(err.contains("--format"), "unhelpful error: {err}");
-    let (_, err, code) = run(
-        &["serve-demo", "connectivity", "--n", "4", "--format", "bin"],
-        "+ 0 1\n",
-    );
     assert_ne!(code, 0);
     assert!(err.contains("--format"), "unhelpful error: {err}");
     let (_, err, code) = run(&["decode", "whatever.sketch", "--format", "bin"], "");

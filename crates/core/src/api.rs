@@ -33,7 +33,7 @@
 //! }
 //! ```
 
-use crate::connectivity::{Forest, ForestParams};
+use crate::connectivity::ForestParams;
 use crate::extras::{BipartitenessSketch, KConnectivitySketch};
 use crate::kedge::SubtractMode;
 use crate::mincut::MinCutParams;
@@ -755,34 +755,12 @@ impl LinearSketch for AnySketch {
     /// and Fig. 2 witnesses, per-weight-class banks for §3.5, per-strand
     /// recovery banks for the sparsifiers), so a single-bank delta
     /// invalidates exactly once and queries between deltas are pure hits.
-    /// Connectivity recomputes go through [`ForestSketch`]'s structural
-    /// memo — kept in this cache's detail slot — so only Borůvka groups
-    /// whose detector rows carry dirty bits redo their lane sums.
     fn decode_cached(
         &self,
         cache: &mut DecodeCache<SketchAnswer>,
         plan: &DecodePlan,
     ) -> SketchAnswer {
-        cache.answer_for(self, |c| match self {
-            AnySketch::Forest(s) => {
-                let mut inner: DecodeCache<Forest> = c
-                    .take_detail()
-                    .unwrap_or_else(|| DecodeCache::with_disabled(c.is_disabled()));
-                let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-                let f = s.decode_cached(&mut inner, plan);
-                c.note_groups(
-                    inner.groups_reused() - reused,
-                    inner.groups_recomputed() - recomputed,
-                );
-                c.set_detail(inner);
-                SketchAnswer::Connectivity {
-                    components: f.component_count(),
-                    connected: f.is_spanning_tree(),
-                    forest_edges: f.edges.iter().map(|&(u, v, _)| (u, v)).collect(),
-                }
-            }
-            _ => self.decode_with(plan),
-        })
+        cache.answer_for(self, |_| self.decode_with(plan))
     }
 }
 

@@ -17,7 +17,7 @@ use crate::incidence::sign_for;
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
 use gs_graph::UnionFind;
 use gs_sketch::bank::{BankGeometry, CellBank, CellBanked};
-use gs_sketch::cache::{BankStamp, DecodeCache};
+use gs_sketch::cache::DecodeCache;
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::lane::{LaneOverflow, LaneWidth};
 use gs_sketch::par::{par_map, DecodePlan};
@@ -454,114 +454,6 @@ impl ForestSketch {
         Forest { n: self.n, edges }
     }
 
-    /// The memoized Borůvka decode behind [`LinearSketch::decode_cached`]:
-    /// reuses per-group query results from the previous decode wherever
-    /// the dirty bitmap proves the group's detector rows are untouched.
-    ///
-    /// **Soundness.** A group's query in round `r` reads exactly the
-    /// `(bank, node)` rows of its members. While the bank's drain epoch is
-    /// unchanged, mutators only ever *set* dirty bits, so the current
-    /// dirty bitmap over-approximates every cell changed since the memo
-    /// was taken — a group none of whose member rows carries a dirty bit
-    /// reads bit-identical cells and must produce the memoized result. A
-    /// group is also recomputed when its member list differs from the
-    /// memoized round (the Borůvka contraction diverged upstream), and the
-    /// whole memo is dropped on a drain-epoch change. The union pass then
-    /// consumes the same per-group results in the same group order as
-    /// [`ForestSketch::decode_excluding_with`], so the forest is
-    /// bit-identical to a fresh decode.
-    fn decode_memoized(&self, cache: &mut DecodeCache<Forest>, plan: &DecodePlan) -> Forest {
-        let stamp = BankStamp {
-            generation: self.cells.generation(),
-            drains: self.cells.drain_epoch(),
-        };
-        // The memo transfers only within this bank's lineage: the drain
-        // epoch must be unchanged (bits were never cleared since) and the
-        // generation must not have moved backwards (a lower generation
-        // means a rebuilt/reset bank whose dirty bitmap says nothing
-        // about what changed relative to the memo).
-        let memo = cache
-            .take_detail::<ForestDecodeMemo>()
-            .filter(|m| m.stamp.drains == stamp.drains && m.stamp.generation <= stamp.generation);
-        let rowlen = self.row_len();
-        // Node-rows with at least one dirty cell: row id = bank·n + node.
-        let touched: std::collections::HashSet<usize> = match &memo {
-            Some(_) => self
-                .cells
-                .dirty_indices()
-                .into_iter()
-                .map(|i| i / rowlen)
-                .collect(),
-            None => Default::default(),
-        };
-        let mut rounds_memo: Vec<RoundMemo> = Vec::with_capacity(self.params.rounds);
-        let mut uf = UnionFind::new(self.n);
-        let mut edges = Vec::new();
-        let (mut reused, mut recomputed) = (0u64, 0u64);
-        for round in 0..self.params.rounds {
-            let bank = if self.params.share_rounds { 0 } else { round };
-            let groups = uf.groups();
-            if groups.len() <= 1 {
-                break;
-            }
-            let round_memo = memo.as_ref().and_then(|m| m.rounds.get(round));
-            let mut results: Vec<Option<(usize, usize, i64)>> = vec![None; groups.len()];
-            let mut need: Vec<usize> = Vec::new();
-            for (gi, group) in groups.iter().enumerate() {
-                let hit = round_memo.and_then(|m| {
-                    if group
-                        .iter()
-                        .any(|&node| touched.contains(&(bank * self.n + node)))
-                    {
-                        None
-                    } else {
-                        m.get(group).copied()
-                    }
-                });
-                match hit {
-                    Some(res) => {
-                        reused += 1;
-                        results[gi] = res;
-                    }
-                    None => {
-                        recomputed += 1;
-                        need.push(gi);
-                    }
-                }
-            }
-            let fresh = par_map(&need, plan.threads(), |_, &gi| {
-                match self.group_query(bank, &groups[gi]) {
-                    L0Result::Sample(idx, val) => {
-                        let (u, v) = edge_unindex(idx);
-                        (u < self.n && v < self.n).then_some((u, v, val))
-                    }
-                    _ => None,
-                }
-            });
-            for (&gi, res) in need.iter().zip(fresh) {
-                results[gi] = res;
-            }
-            let mut rm = RoundMemo::with_capacity(groups.len());
-            for (group, &res) in groups.iter().zip(&results) {
-                rm.insert(group.clone(), res);
-            }
-            rounds_memo.push(rm);
-            // Identical per-group results in identical group order ⇒ the
-            // union pass below replays decode_excluding_with bit for bit.
-            for (u, v, val) in results.into_iter().flatten() {
-                if uf.union(u, v) {
-                    edges.push((u, v, val));
-                }
-            }
-        }
-        cache.note_groups(reused, recomputed);
-        cache.set_detail(ForestDecodeMemo {
-            stamp,
-            rounds: rounds_memo,
-        });
-        Forest { n: self.n, edges }
-    }
-
     /// The full pre-kernel decode path (reference group queries, inline
     /// loop) — the baseline `bench_decode` compares against.
     #[doc(hidden)]
@@ -591,18 +483,6 @@ impl ForestSketch {
         }
         Forest { n: self.n, edges }
     }
-}
-
-/// One round's memoized group results: member list → the raw (pre-union)
-/// sample the group's query produced.
-type RoundMemo = std::collections::HashMap<Vec<usize>, Option<(usize, usize, i64)>>;
-
-/// The structural memo a cached forest decode leaves in the
-/// [`DecodeCache`] detail slot: the stamp it was computed at and the
-/// per-round group results of the Borůvka contraction.
-struct ForestDecodeMemo {
-    stamp: BankStamp,
-    rounds: Vec<RoundMemo>,
 }
 
 impl Mergeable for ForestSketch {
@@ -766,7 +646,7 @@ impl LinearSketch for ForestSketch {
     }
 
     fn decode_cached(&self, cache: &mut DecodeCache<Forest>, plan: &DecodePlan) -> Forest {
-        cache.answer_for(self, |c| self.decode_memoized(c, plan))
+        cache.answer_for(self, |_| self.decode_with(plan))
     }
 }
 
@@ -1014,8 +894,6 @@ mod tests {
             assert_eq!(again.edges, cached.edges);
             assert_eq!(cache.hits(), hits + 1);
         }
-        // After the first chunk every re-decode had a memo to splice from.
-        assert!(cache.groups_reused() > 0, "no group-level reuse happened");
         // A single-edge delta invalidates, and the recomputed answer still
         // matches fresh.
         let &(u, v, w) = &g.edges()[0];

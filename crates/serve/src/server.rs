@@ -736,19 +736,7 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
                     return err(corr, ErrCode::Internal, e);
                 }
             };
-            cache.answer_banked(key, |c| {
-                let mut inner: DecodeCache<SketchAnswer> = c
-                    .take_detail()
-                    .unwrap_or_else(|| DecodeCache::with_disabled(c.is_disabled()));
-                let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-                let a = merged.decode_cached(&mut inner, &plan);
-                c.note_groups(
-                    inner.groups_reused() - reused,
-                    inner.groups_recomputed() - recomputed,
-                );
-                c.set_detail(inner);
-                a
-            })
+            cache.answer_banked(key, |_| merged.decode_with(&plan))
         }
     };
     t.cache = cache;

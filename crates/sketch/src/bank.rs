@@ -80,8 +80,9 @@
 //!   same drain epoch, every cell whose value changed has its dirty bit
 //!   set at the later point (mutators only ever *set* bits), so the
 //!   current dirty set is a sound — if conservative — over-approximation
-//!   of "changed since the earlier point". The cache uses exactly this
-//!   to invalidate only the decode work whose input rows were touched.
+//!   of "changed since the earlier point". The cache keys on it with the
+//!   generation, so a drain that restores earlier lane values still
+//!   moves the stamp.
 //!
 //! Like the bitmap, the counters never participate in equality or
 //! serialization.
@@ -230,7 +231,7 @@ impl CellBank {
     /// The drain epoch: a monotone counter advanced whenever dirty bits
     /// are cleared ([`CellBank::drain_dirty`]). While it is unchanged, the
     /// current dirty set over-approximates every cell changed since any
-    /// earlier reading — the decode cache's fine-grained invalidation key.
+    /// earlier reading. Half of the decode cache's per-bank stamp.
     #[inline]
     pub fn drain_epoch(&self) -> u64 {
         self.drains

@@ -7,27 +7,27 @@
 //! answer is too. [`DecodeCache`] memoizes the last decoded answer keyed
 //! by the sketch's **bank stamps** ([`BankStamp`]): one
 //! `(generation, drain epoch)` pair per [`crate::bank::CellBank`], read
-//! through the [`crate::bank::CellBanked`] visitor. The soundness
-//! argument is layered:
+//! through the [`crate::bank::CellBanked`] visitor. That whole-answer
+//! memo is the only one; every task, connectivity included, uses it the
+//! same way, and a miss is a fresh decode.
 //!
 //! * **Hit.** Every bank mutator advances its generation, so equal stamp
 //!   vectors certify the measurement lanes are unchanged — and decoding
 //!   is a pure function of the lanes (thread plans are bit-identical by
 //!   the pinned parity suite), so the memoized answer *is* the fresh
 //!   answer.
-//! * **Fine-grained invalidation.** On a stamp mismatch the whole-answer
-//!   memo is dead, but per-component memos (the Borůvka round structure a
-//!   forest decode stashes in the [`DecodeCache::set_detail`] slot) can
-//!   survive: while a bank's drain epoch is unchanged, mutators only ever
-//!   *set* dirty bits, so the current dirty bitmap over-approximates
-//!   every cell changed since the memo was taken. A component whose input
-//!   rows carry no dirty bit therefore decodes to the memoized value
-//!   bit for bit; only touched components recompute, and the results are
-//!   spliced into the memoized structure. A drain-epoch change (bits were
-//!   cleared) drops the fine-grained memo entirely — conservative, never
-//!   wrong.
+//! * **Miss.** Any stamp change discards the memo and the sketch decodes
+//!   from scratch. An earlier design also kept per-group Borůvka results
+//!   for connectivity and reused those whose rows carried no dirty bit.
+//!   It was deleted because it never paid for itself: dirty bits are
+//!   cleared only by a drain, so on the served path (a freshly merged
+//!   clone per miss) at most 1.5% of groups were reused, and the
+//!   memoized miss cost about 13 ms against 2.8 ms for a fresh decode of
+//!   the same state. Even on `bench_decode`'s read-heavy shape, where
+//!   75% of groups were reusable, the cached pass took 214 ms with the
+//!   group memo and 143 ms without it (`BENCH_decode.json`).
 //! * **Oracle.** Setting the `GS_NO_DECODE_CACHE` environment variable
-//!   (any value but `0`) disables every memo at cache construction time:
+//!   (any value but `0`) disables the memo at cache construction time:
 //!   each query recomputes from scratch, which is the bit-identity oracle
 //!   the cache-disabled CI job runs the full suite under.
 //!
@@ -41,9 +41,16 @@
 //!
 //! The cache never changes an answer — only whether it is recomputed.
 //! Counters ([`DecodeCache::hits`], [`DecodeCache::misses`],
-//! [`DecodeCache::invalidations`], [`DecodeCache::groups_reused`],
-//! [`DecodeCache::groups_recomputed`]) expose the reuse behavior to tests
+//! [`DecodeCache::invalidations`]) expose the reuse behavior to tests
 //! and the serving layer's STATS surface.
+//!
+//! The structural-memo slot ([`DecodeCache::set_detail`],
+//! [`DecodeCache::take_detail`]) and the group counters
+//! ([`DecodeCache::note_groups`], [`DecodeCache::groups_reused`],
+//! [`DecodeCache::groups_recomputed`]) have no production caller left in
+//! the workspace. They keep their behaviour because the served-sketch
+//! benchmark's in-process mirror (`servebench/src/target.rs`) still
+//! calls them; they go when that mirror drops its nested cache.
 
 use crate::bank::CellBanked;
 use std::any::Any;
@@ -83,15 +90,14 @@ pub struct CachedAnswer<O> {
 }
 
 /// A decode cache for one sketch (or one query stream over a sketch):
-/// the whole-answer memo, an opaque slot for sketch-specific structural
-/// memos, and the reuse counters. Create one per cached query stream and
+/// the whole-answer memo, a legacy structural-memo slot (see the module
+/// docs), and the reuse counters. Create one per cached query stream and
 /// pass it to `LinearSketch::decode_cached` on every query.
 #[derive(Debug)]
 pub struct DecodeCache<O> {
     answer: Option<CachedAnswer<O>>,
-    /// Sketch-specific structural memo (e.g. the forest decode's
-    /// per-round group results), stored type-erased so the cache type
-    /// does not depend on any concrete sketch.
+    /// Type-erased structural memo; no workspace sketch stores one (see
+    /// the module docs).
     detail: Option<Box<dyn Any + Send>>,
     disabled: bool,
     hits: u64,
@@ -153,17 +159,23 @@ impl<O> DecodeCache<O> {
     }
 
     /// Decode components answered from a structural memo across all
-    /// recomputations (e.g. Borůvka group queries skipped).
+    /// recomputations. No workspace sketch reports any, so this stays 0
+    /// unless a caller uses [`DecodeCache::note_groups`]; kept for the
+    /// served-sketch benchmark's mirror (see the module docs).
     pub fn groups_reused(&self) -> u64 {
         self.groups_reused
     }
 
-    /// Decode components actually recomputed across all recomputations.
+    /// Decode components recomputed across all recomputations, as
+    /// reported through [`DecodeCache::note_groups`]; kept for the
+    /// served-sketch benchmark's mirror (see the module docs).
     pub fn groups_recomputed(&self) -> u64 {
         self.groups_recomputed
     }
 
-    /// Records component-level reuse from a structural-memo decode.
+    /// Records component-level reuse from a structural-memo decode. No
+    /// production caller in the workspace; kept for the served-sketch
+    /// benchmark's mirror (see the module docs).
     pub fn note_groups(&mut self, reused: u64, recomputed: u64) {
         self.groups_reused += reused;
         self.groups_recomputed += recomputed;
@@ -176,8 +188,9 @@ impl<O> DecodeCache<O> {
         self.misses += 1;
     }
 
-    /// Stores a sketch-specific structural memo. Dropped (never stored)
-    /// when the cache is disabled.
+    /// Stores a type-erased structural memo. Dropped (never stored) when
+    /// the cache is disabled. No production caller in the workspace; kept
+    /// for the served-sketch benchmark's mirror (see the module docs).
     pub fn set_detail<T: Any + Send>(&mut self, detail: T) {
         if !self.disabled {
             self.detail = Some(Box::new(detail));
@@ -185,7 +198,9 @@ impl<O> DecodeCache<O> {
     }
 
     /// Removes and returns the structural memo, if one of type `T` is
-    /// stored. Always `None` when the cache is disabled.
+    /// stored. Always `None` when the cache is disabled. No production
+    /// caller in the workspace; kept for the served-sketch benchmark's
+    /// mirror (see the module docs).
     pub fn take_detail<T: Any + Send>(&mut self) -> Option<T> {
         self.detail
             .take()
@@ -221,9 +236,8 @@ impl<O: Clone> DecodeCache<O> {
     }
 
     /// The memoization core: returns the cached answer when `stamps`
-    /// matches the memo, otherwise runs `recompute` (which may itself use
-    /// the structural-memo slot through the `&mut Self` it receives) and
-    /// re-arms the memo at `stamps`.
+    /// matches the memo, otherwise runs `recompute` and re-arms the memo
+    /// at `stamps`.
     ///
     /// The caller must read `stamps` from the sketch *before* calling and
     /// must not mutate the sketch inside `recompute` — the stamp vector

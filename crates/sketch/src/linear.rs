@@ -227,9 +227,8 @@ pub trait LinearSketch: Mergeable {
 
     /// Decodes through a [`DecodeCache`]: when the sketch is unchanged
     /// since the cache's last answer the memoized answer is returned
-    /// without any decode work, otherwise the sketch decodes (reusing
-    /// whatever structural memos survive invalidation) and the cache is
-    /// re-armed. **Bit-identical** to [`LinearSketch::decode_with`] at
+    /// without any decode work, otherwise the sketch decodes from
+    /// scratch and the cache is re-armed. **Bit-identical** to [`LinearSketch::decode_with`] at
     /// every point in the stream — the cache only decides whether the
     /// answer is recomputed, never what it is — which the churn
     /// differential harness pins for every task, with the

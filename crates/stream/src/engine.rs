@@ -680,16 +680,13 @@ impl<S: LinearSketch + Send + Clone + 'static> SketchEngine<S> {
     /// rather than any rebuilt snapshot's banks: the engine is flushed
     /// first, so equal counters certify the shard state — and with it the
     /// merged snapshot and its decode — is unchanged since the memo was
-    /// armed, and a hit skips the whole merge-on-read *and* decode. On a
-    /// miss the fresh snapshot decodes through the cache's structural-memo
-    /// slot, so sketches with fine-grained memos (connectivity's Borůvka
-    /// groups) recompute only components whose rows were touched.
-    /// Bit-identical to [`SketchEngine::answer`] at every point in the
-    /// stream; the `GS_NO_DECODE_CACHE` environment variable (read when
-    /// the cache is constructed) forces the fresh path.
+    /// armed, and a hit skips the whole merge-on-read *and* decode. A miss
+    /// is exactly [`SketchEngine::answer`]. Bit-identical to it at every
+    /// point in the stream; the `GS_NO_DECODE_CACHE` environment variable
+    /// (read when the cache is constructed) forces the fresh path.
     pub fn answer_cached(&self, cache: &mut DecodeCache<S::Output>, plan: &DecodePlan) -> S::Output
     where
-        S::Output: Clone + Send + 'static,
+        S::Output: Clone,
     {
         // A pure counter key is only sound once nothing is in flight.
         self.flush();
@@ -697,26 +694,7 @@ impl<S: LinearSketch + Send + Clone + 'static> SketchEngine<S> {
             generation: self.updates_routed,
             drains: self.deltas_drained,
         }];
-        cache.answer_banked(stamps, |c| {
-            // The nested cache stamps rebuilt snapshots, whose bank
-            // generations are monotone in the shard mutations — but a
-            // delta drain resets the shards, restarting that clock over
-            // an unrelated dirty bitmap. Tie the nested cache to the
-            // drain epoch it was armed under and start fresh otherwise.
-            let mut inner: DecodeCache<S::Output> =
-                match c.take_detail::<(u64, DecodeCache<S::Output>)>() {
-                    Some((drained, inner)) if drained == self.deltas_drained => inner,
-                    _ => DecodeCache::with_disabled(c.is_disabled()),
-                };
-            let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-            let out = self.snapshot().decode_cached(&mut inner, plan);
-            c.note_groups(
-                inner.groups_reused() - reused,
-                inner.groups_recomputed() - recomputed,
-            );
-            c.set_detail((self.deltas_drained, inner));
-            out
-        })
+        cache.answer_banked(stamps, |_| self.answer(plan))
     }
 
     /// Drains the engine's pending delta: flushes the queues, then swaps
