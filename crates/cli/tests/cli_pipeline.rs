@@ -110,8 +110,14 @@ fn two_process_pipeline_matches_single_process() {
             let mut args = vec!["sketch"];
             args.extend(&task_args);
             args.extend(["--seed", "77", "--out", file]);
+            // Site b names the default format explicitly; both write v2.
+            if file == &b_file {
+                args.extend(["--format", "bin"]);
+            }
             let (_, err, code) = run(&args, part);
             assert_eq!(code, 0, "sketch failed: {err}");
+            let bytes = std::fs::read(file).unwrap();
+            assert!(bytes.starts_with(b"AGMSKB2\n"), "not a v2 file");
         }
         let (_, err, code) = run(&["merge", &a_file, &b_file, "--out", &merged_file], "");
         assert_eq!(code, 0, "merge failed: {err}");
@@ -179,8 +185,8 @@ fn merged_sketch_file_is_byte_identical_to_central_sketch_file() {
     );
     assert_eq!(code, 0);
     assert_eq!(
-        std::fs::read_to_string(&merged_file).unwrap(),
-        std::fs::read_to_string(&central_file).unwrap()
+        std::fs::read(&merged_file).unwrap(),
+        std::fs::read(&central_file).unwrap()
     );
 }
 
@@ -236,6 +242,13 @@ fn merge_refuses_incompatible_sketch_files() {
     let (_, err, code) = run(&["merge", &a, &b], "");
     assert_ne!(code, 0, "merging different seeds must fail");
     assert!(err.contains("specs differ"), "unhelpful error: {err}");
+    // A JSON text file (the retired format-1 sketch file) is no sketch
+    // file at all.
+    let json = dir.path("c.json");
+    std::fs::write(&json, "{\"format\":1,\"spec\":{},\"state\":{}}\n").unwrap();
+    let (_, err, code) = run(&["merge", &a, &json], "");
+    assert_ne!(code, 0, "merging a JSON file must fail");
+    assert!(err.contains("not a sketch file"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -247,13 +260,13 @@ fn decode_refuses_future_wire_format() {
         &["sketch", "connectivity", "--n", "8", "--out", &a],
         &stream,
     );
-    let bumped = std::fs::read_to_string(&a)
-        .unwrap()
-        .replacen("\"format\":1", "\"format\":2", 1);
+    // The u32 after the 8-byte magic is the wire version.
+    let mut bumped = std::fs::read(&a).unwrap();
+    bumped[8..12].copy_from_slice(&4u32.to_le_bytes());
     std::fs::write(&a, bumped).unwrap();
     let (_, err, code) = run(&["decode", &a], "");
     assert_ne!(code, 0);
-    assert!(err.contains("wire format 2"), "unhelpful error: {err}");
+    assert!(err.contains("wire format 4"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -372,99 +385,6 @@ fn decode_threads_flag_changes_nothing_but_wall_clock() {
 }
 
 #[test]
-fn binary_pipeline_matches_json_pipeline() {
-    // The same three-site topology shipped through --format bin: site
-    // sketches, coordinator merge, decode — the decoded answer must be
-    // byte-identical to the JSON-format pipeline and to one process.
-    let n = 12;
-    let stream = demo_stream(n);
-    let dir = Scratch::new("binpipe");
-    let parts = split_lines(&stream, 3);
-    let mut files = Vec::new();
-    for (i, part) in parts.iter().enumerate() {
-        let f = dir.path(&format!("site{i}.sketch2"));
-        let (_, err, code) = run(
-            &[
-                "sketch",
-                "connectivity",
-                "--n",
-                "12",
-                "--seed",
-                "9",
-                "--format",
-                "bin",
-                "--out",
-                &f,
-            ],
-            part,
-        );
-        assert_eq!(code, 0, "binary sketch failed: {err}");
-        // The site file really is binary (v2 magic, not JSON).
-        let bytes = std::fs::read(&f).unwrap();
-        assert!(bytes.starts_with(b"AGMSKB2\n"), "not a v2 file");
-        files.push(f);
-    }
-    let merged = dir.path("merged.sketch2");
-    let mut args: Vec<&str> = vec!["merge"];
-    args.extend(files.iter().map(String::as_str));
-    args.extend(["--format", "bin", "--out", &merged]);
-    let (_, err, code) = run(&args, "");
-    assert_eq!(code, 0, "binary merge failed: {err}");
-    let (decoded, _, code) = run(&["decode", &merged], "");
-    assert_eq!(code, 0);
-    let (central, _, code) = run(&["connectivity", "--n", "12", "--seed", "9"], &stream);
-    assert_eq!(code, 0);
-    assert_eq!(decoded, central, "binary pipeline answer differs");
-}
-
-#[test]
-fn merge_mixes_json_and_binary_sites() {
-    // Content sniffing: one site ships JSON, the other binary; the
-    // coordinator folds them without being told which is which.
-    let n = 10;
-    let stream = demo_stream(n);
-    let dir = Scratch::new("mixed");
-    let parts = split_lines(&stream, 2);
-    let (a, b) = (dir.path("a.json"), dir.path("b.bin"));
-    run(
-        &[
-            "sketch",
-            "connectivity",
-            "--n",
-            "10",
-            "--seed",
-            "4",
-            "--out",
-            &a,
-        ],
-        &parts[0],
-    );
-    run(
-        &[
-            "sketch",
-            "connectivity",
-            "--n",
-            "10",
-            "--seed",
-            "4",
-            "--format",
-            "bin",
-            "--out",
-            &b,
-        ],
-        &parts[1],
-    );
-    let merged = dir.path("merged.json");
-    let (_, err, code) = run(&["merge", &a, &b, "--out", &merged], "");
-    assert_eq!(code, 0, "mixed-format merge failed: {err}");
-    let (decoded, _, code) = run(&["decode", &merged], "");
-    assert_eq!(code, 0);
-    let (central, _, code) = run(&["connectivity", "--n", "10", "--seed", "4"], &stream);
-    assert_eq!(code, 0);
-    assert_eq!(decoded, central, "mixed-format answer differs");
-}
-
-#[test]
 fn truncated_binary_file_fails_loudly() {
     let stream = demo_stream(8);
     let dir = Scratch::new("bintrunc");
@@ -501,24 +421,33 @@ fn truncated_binary_file_fails_loudly() {
 
 #[test]
 fn format_flag_is_refused_out_of_place() {
-    // --format on a plain query or decode is a mistake; it
-    // must be refused, not silently ignored (PR 2 flag discipline).
-    let (_, err, code) = run(&["connectivity", "--n", "4", "--format", "bin"], "+ 0 1\n");
-    assert_ne!(code, 0);
-    assert!(err.contains("--format"), "unhelpful error: {err}");
-    let (_, err, code) = run(&["decode", "whatever.sketch", "--format", "bin"], "");
-    assert_ne!(code, 0);
-    assert!(err.contains("--format"), "unhelpful error: {err}");
+    // --format anywhere but sketch is a mistake (merge and sync always
+    // write the one sketch-file format); it must be refused, not
+    // silently ignored.
+    for args in [
+        &["connectivity", "--n", "4", "--format", "bin"][..],
+        &["decode", "whatever.sketch", "--format", "bin"][..],
+        &["merge", "whatever.sketch", "--format", "bin"][..],
+        &[
+            "sync",
+            "--state",
+            "whatever.state",
+            "--format",
+            "bin",
+            "x.delta",
+        ][..],
+    ] {
+        let (_, err, code) = run(args, "+ 0 1\n");
+        assert_ne!(code, 0, "{args:?}");
+        assert!(err.contains("--format"), "{args:?}: unhelpful error: {err}");
+    }
     // And a bad value is named.
     let (_, err, code) = run(
         &["sketch", "connectivity", "--n", "4", "--format", "xml"],
         "+ 0 1\n",
     );
     assert_ne!(code, 0);
-    assert!(
-        err.contains("json, bin, or delta"),
-        "unhelpful error: {err}"
-    );
+    assert!(err.contains("bin or delta"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -683,10 +612,6 @@ fn delta_records_are_not_sketch_files_and_vice_versa() {
     let (_, err, code) = run(&["sync", "--state", &state, &full], "");
     assert_ne!(code, 0);
     assert!(err.contains("magic"), "unhelpful error: {err}");
-    // ...and merge won't write deltas.
-    let (_, err, code) = run(&["merge", &full, "--format", "delta"], "");
-    assert_ne!(code, 0);
-    assert!(err.contains("sync"), "unhelpful error: {err}");
 }
 
 #[test]

@@ -1,16 +1,13 @@
-//! Cross-process sketch shipping: the versioned sketch-file formats.
+//! Cross-process sketch shipping: the versioned sketch-file format and
+//! its incremental delta record.
 //!
 //! §1.1's coordinator topology only becomes real once sketches cross a
-//! process boundary. Two on-disk formats carry a sketch, auto-detected on
-//! load by [`SketchFile::from_bytes`]:
+//! process boundary. A sketch is a linear projection fixed by shared
+//! randomness, so two sites that agree on the spec need to exchange only
+//! the measurement vector. One binary layout carries a whole sketch,
+//! loaded by [`SketchFile::from_bytes`]:
 //!
-//! **Format 1 (JSON)** — one JSON object:
-//!
-//! ```json
-//! {"format": 1, "spec": { …SketchSpec… }, "state": { …AnySketch… }}
-//! ```
-//!
-//! **Format 2 (binary)** — a length-prefixed little-endian dump of the
+//! **Sketch file (v2)** — a length-prefixed little-endian dump of the
 //! measurement state. A sketch's *structure* (hashes, seeds, parameters)
 //! is fully derivable from its spec, so only the [`gs_sketch::CellBank`]
 //! lanes and the `k-RECOVERY` verification fingerprints ship; the reader
@@ -26,8 +23,8 @@
 //! u64 FNV-1a checksum of every preceding byte
 //! ```
 //!
-//! **Delta record** — the incremental sibling of format 2, produced by
-//! [`SketchFile::delta_bytes`] and consumed by
+//! **Delta record** — the incremental sibling of the sketch file,
+//! produced by [`SketchFile::delta_bytes`] and consumed by
 //! [`SketchFile::apply_delta`]. Instead of whole lanes it ships only the
 //! cells **touched since the last drain** (the bank dirty bitmaps of
 //! [`gs_sketch::CellBank`]), as `(flat index, w, s, f)` columns per bank,
@@ -46,7 +43,7 @@
 //! u64 FNV-1a checksum of every preceding byte
 //! ```
 //!
-//! Both binary layouts end in an [FNV-1a] checksum ([`v2_checksum`]) over
+//! Both layouts end in an [FNV-1a] checksum ([`v2_checksum`]) over
 //! everything before it, verified **before any content is parsed**: a
 //! flipped bit, a truncation past the header, or a spliced payload is
 //! refused as [`WireError::Corrupt`] without the reader ever acting on
@@ -56,17 +53,15 @@
 //! *re-sealed* tampered file is caught too wherever the damage is
 //! detectable.
 //!
-//! In all formats the payload carries the full [`SketchSpec`] —
-//! everything two sites must agree on for their measurements to be
-//! compatible — so the coordinator *checks* compatibility instead of
-//! trusting the sender. [`SketchFile::try_merge`] refuses (with a
-//! [`WireError`]) to fold files whose specs differ in any field or whose
-//! bank geometries disagree, [`SketchFile::apply_delta`] refuses deltas
-//! the same way, and loading validates the state against its *declared*
-//! spec (v1: a contained probe merge against a spec-built empty sketch,
-//! which also re-structures the flat-deserialized banks; v2: the per-bank
-//! geometry gate), so a corrupted or tampered file fails at load rather
-//! than aborting a coordinator mid-merge. The CLI's
+//! Both layouts carry the full [`SketchSpec`] — everything two sites must
+//! agree on for their measurements to be compatible — so the coordinator
+//! *checks* compatibility instead of trusting the sender.
+//! [`SketchFile::try_merge`] refuses (with a [`WireError`]) to fold files
+//! whose specs differ in any field or whose bank geometries disagree,
+//! [`SketchFile::apply_delta`] refuses deltas the same way, and loading
+//! validates the spec header and every bank's geometry against the
+//! spec-built receiver, so a corrupted or tampered file fails at load
+//! rather than aborting a coordinator mid-merge. The CLI's
 //! `sketch` / `merge` / `decode` / `sync` verbs are thin shells over this
 //! module; `tests/integration_wire.rs`, `tests/integration_wire_v2.rs`,
 //! `tests/integration_delta.rs`, and `tests/integration_wire_fuzz.rs`
@@ -78,13 +73,9 @@ use crate::api::{AnySketch, MergeError, SketchAnswer, SketchSpec, SpecError};
 use gs_field::{m61, M61};
 use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankGeometry, LinearSketch, Mergeable};
-use serde::{Deserialize, Serialize, Value};
+use gs_sketch::{BankGeometry, LinearSketch};
 
-/// The JSON sketch-file wire version.
-pub const WIRE_FORMAT: u64 = 1;
-
-/// The binary sketch-file wire version, carried in the `u32` after the
+/// The sketch-file wire version, carried in the `u32` after the
 /// magic. Version 2 was the pre-checksum binary layout; appending the
 /// trailing checksum word changed the byte layout, so the version was
 /// bumped to 3 — a version-2 file written by an older build is refused
@@ -92,12 +83,11 @@ pub const WIRE_FORMAT: u64 = 1;
 /// checksum corruption.
 pub const WIRE_FORMAT_BIN: u32 = 3;
 
-/// Magic prefix of a binary (format 2) sketch file. Starts with a byte
-/// that can never open a JSON document, so the two formats are sniffable.
+/// Magic prefix of a binary sketch file.
 pub const V2_MAGIC: &[u8; 8] = b"AGMSKB2\n";
 
-/// Magic prefix of a binary delta record (the incremental sibling of
-/// format 2): `D` for delta where the full dump has `B`.
+/// Magic prefix of a binary delta record (the incremental sibling of the
+/// sketch file): `D` for delta where the full dump has `B`.
 pub const DELTA_MAGIC: &[u8; 8] = b"AGMSKD2\n";
 
 /// The FNV-1a 64-bit checksum both binary layouts carry as their final
@@ -194,17 +184,14 @@ pub struct SketchFile {
 /// Why a sketch file failed to load or merge.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
-    /// The text is not valid JSON (or not the expected shape).
+    /// The spec header is not valid JSON (or not the expected shape).
     Json(String),
-    /// A required top-level field is missing or mistyped.
-    Missing(&'static str),
     /// The file declares an unsupported wire version.
     Format {
         /// The version the file declared.
         found: u64,
     },
-    /// The bytes are neither a binary sketch file (no recognizable magic)
-    /// nor JSON text.
+    /// The bytes do not start with the expected binary magic.
     BadMagic,
     /// A binary file ended before its declared contents.
     Truncated {
@@ -259,16 +246,12 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Json(e) => write!(f, "malformed sketch file: {e}"),
-            WireError::Missing(field) => write!(f, "sketch file is missing {field:?}"),
             WireError::Format { found } => write!(
                 f,
-                "sketch file declares wire format {found}, this build reads formats \
-                 {WIRE_FORMAT} and {WIRE_FORMAT_BIN}"
+                "sketch file declares wire format {found}, this build reads format \
+                 {WIRE_FORMAT_BIN}"
             ),
-            WireError::BadMagic => write!(
-                f,
-                "not a sketch file: neither the binary magic nor JSON text"
-            ),
+            WireError::BadMagic => write!(f, "not a sketch file: no binary magic"),
             WireError::Truncated { at } => {
                 write!(f, "binary sketch file truncated at byte {at}")
             }
@@ -332,28 +315,6 @@ impl From<SpecError> for WireError {
     }
 }
 
-/// Merges `state` into a freshly spec-built empty sketch and returns the
-/// result, or `None` if the merge refuses. The per-sketch merge assertions
-/// (seeds, parameters, cell counts) are the source of truth for
-/// compatibility, so a file whose declared spec was tampered with — e.g.
-/// its seed edited to match a merge partner — is caught at load time
-/// instead of aborting a coordinator later. Because an empty sketch is the
-/// zero of the merge group, the returned sketch carries exactly the
-/// state's measurements **in the spec-built structure** — this is also
-/// what re-attaches the `reps × levels × slots` bank geometry that the
-/// legacy JSON cell arrays do not record. The probe is contained with
-/// `catch_unwind` (the sketches expose no fallible compatibility API, so
-/// the asserting merge is the only generic oracle) and requires the
-/// default unwinding panic runtime — under `panic = "abort"` a corrupted
-/// state aborts the load instead of returning an error.
-fn rebuild_from_spec(spec: &SketchSpec, state: &AnySketch) -> Option<AnySketch> {
-    contained(|| {
-        let mut probe = spec.build();
-        probe.merge(state);
-        probe
-    })
-}
-
 /// Runs `f`, converting a panic into `None`. Loading untrusted files is
 /// the one place a panic is an *expected* failure mode (the sketch
 /// constructors and merges assert rather than return errors), so the
@@ -377,10 +338,10 @@ fn contained<R>(f: impl FnOnce() -> R) -> Option<R> {
 
 impl SketchFile {
     /// Packages a sketch with its spec, checking that the state really is
-    /// what the spec describes (same task, same `n`). Deep seed/parameter
-    /// consistency is probed at the untrusted boundary,
-    /// [`SketchFile::from_json`], not here — `new` is the trusted path for
-    /// states the caller just built from `spec`.
+    /// what the spec describes (same task, same `n`). `new` is the trusted
+    /// path for states the caller just built from `spec`; the untrusted
+    /// boundary is [`SketchFile::from_bytes`], which never deserializes
+    /// structure at all — it rebuilds it from the validated spec header.
     pub fn new(spec: SketchSpec, state: AnySketch) -> Result<Self, WireError> {
         if state.task() != spec.task || LinearSketch::n(&state) != spec.n {
             return Err(WireError::StateMismatch);
@@ -388,64 +349,8 @@ impl SketchFile {
         Ok(SketchFile { spec, state })
     }
 
-    /// Serializes the file as one JSON object (`format` / `spec` /
-    /// `state`).
-    pub fn to_json(&self) -> String {
-        Value::Map(vec![
-            ("format".into(), Value::UInt(WIRE_FORMAT)),
-            ("spec".into(), self.spec.to_value()),
-            ("state".into(), self.state.to_value()),
-        ])
-        .to_json()
-    }
-
-    /// Parses and validates a sketch file: JSON shape, wire version, spec,
-    /// state, and spec↔state consistency. The returned state is the
-    /// declared measurements transplanted into a spec-built sketch, so its
-    /// bank geometry is fully structured regardless of the serialized
-    /// form.
-    pub fn from_json(text: &str) -> Result<Self, WireError> {
-        let v = Value::from_json(text).map_err(|e| WireError::Json(e.to_string()))?;
-        let format = v
-            .get("format")
-            .and_then(Value::as_u64)
-            .ok_or(WireError::Missing("format"))?;
-        if format != WIRE_FORMAT {
-            return Err(WireError::Format { found: format });
-        }
-        let spec = SketchSpec::from_value(v.get("spec").ok_or(WireError::Missing("spec"))?)
-            .map_err(|e| WireError::Json(e.to_string()))?;
-        // Untrusted header: a degenerate spec is refused with a typed
-        // error before the probe merge builds anything from it.
-        spec.validate()?;
-        let state = AnySketch::from_value(v.get("state").ok_or(WireError::Missing("state"))?)
-            .map_err(|e| WireError::Json(e.to_string()))?;
-        let file = SketchFile::new(spec, state)?;
-        // Untrusted input: verify the state really measures the projection
-        // the file *declares* before any coordinator merges it, and keep
-        // the spec-built rebuild (same measurements, structured geometry).
-        let rebuilt = rebuild_from_spec(&file.spec, &file.state).ok_or(WireError::StateMismatch)?;
-        // The rebuild merges the declared values into the spec-built
-        // sketch; a value outside a compacted lane's range poisons the
-        // receiving bank there, which surfaces here as a typed refusal
-        // (the JSON format predates lane compaction, so this is the only
-        // place the legacy path can range-check).
-        if let Some((bank, e)) = rebuilt
-            .banks()
-            .iter()
-            .enumerate()
-            .find_map(|(i, b)| b.lane_overflow().map(|e| (i, e)))
-        {
-            return Err(WireError::LaneRange { bank, cell: e.cell });
-        }
-        Ok(SketchFile {
-            spec: file.spec,
-            state: rebuilt,
-        })
-    }
-
-    /// Serializes the file in the binary wire format (v2): the spec
-    /// header, then the raw bank lanes and fingerprints, little-endian.
+    /// Serializes the file in the binary wire format: the spec header,
+    /// then the raw bank lanes and fingerprints, little-endian.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(V2_MAGIC);
@@ -492,11 +397,20 @@ impl SketchFile {
         out
     }
 
-    /// Parses a binary (v2) sketch file: magic, version, the trailing
-    /// checksum (verified before anything else is read), then the spec
-    /// header and the bank lanes overlaid onto a spec-built sketch with
-    /// per-bank geometry checks.
-    pub fn from_bytes_v2(bytes: &[u8]) -> Result<Self, WireError> {
+    /// Parses a sketch file: magic, version, the trailing checksum
+    /// (verified before anything else is read), then the spec header and
+    /// the bank lanes overlaid onto a spec-built sketch with per-bank
+    /// geometry checks. A delta record is *not* a sketch file (it is one
+    /// summand, not a sum) and is named in its rejection; anything else
+    /// without the sketch-file magic is [`WireError::BadMagic`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        if bytes.starts_with(DELTA_MAGIC) {
+            return Err(WireError::Corrupt(
+                "this is a delta record, not a standalone sketch file; apply it to a \
+                 coordinator state (CLI: the sync verb)"
+                    .into(),
+            ));
+        }
         let (spec, mut r) = parse_binary_header(bytes, V2_MAGIC)?;
         // Untrusted header: refuse degenerate specs with a typed error,
         // and contain the build (the constructors assert) for anything
@@ -573,25 +487,6 @@ impl SketchFile {
             )));
         }
         SketchFile::new(spec, state)
-    }
-
-    /// Loads a sketch file of either wire format, auto-detected by
-    /// content: the binary magic selects format 2, anything else is
-    /// treated as format-1 JSON text. A delta record is *not* a sketch
-    /// file (it is one summand, not a sum) and is named in its rejection.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.starts_with(V2_MAGIC) {
-            return Self::from_bytes_v2(bytes);
-        }
-        if bytes.starts_with(DELTA_MAGIC) {
-            return Err(WireError::Corrupt(
-                "this is a delta record, not a standalone sketch file; apply it to a \
-                 coordinator state (CLI: the sync verb)"
-                    .into(),
-            ));
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| WireError::BadMagic)?;
-        Self::from_json(text)
     }
 
     /// Serializes and **drains** the sketch's pending delta: a
@@ -1009,65 +904,74 @@ mod tests {
         let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(3);
         let state = fed(&spec, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(2, 3)]);
         let file = SketchFile::new(spec, state).unwrap();
-        let back = SketchFile::from_json(&file.to_json()).unwrap();
+        let back = SketchFile::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back, file);
     }
 
     #[test]
     fn wrong_format_version_is_rejected() {
+        // Both binary layouts share the version gate, and it runs before
+        // the checksum so a future-format file is named, not "corrupt".
         let spec = SketchSpec::new(SketchTask::Bipartite, 4);
-        let file = SketchFile::new(spec, spec.build()).unwrap();
-        let bumped = file.to_json().replacen("\"format\":1", "\"format\":2", 1);
-        assert_eq!(
-            SketchFile::from_json(&bumped),
-            Err(WireError::Format { found: 2 })
-        );
-    }
-
-    #[test]
-    fn missing_fields_are_named() {
-        assert_eq!(
-            SketchFile::from_json("{}"),
-            Err(WireError::Missing("format"))
-        );
-        assert_eq!(
-            SketchFile::from_json("{\"format\":1}"),
-            Err(WireError::Missing("spec"))
-        );
-        assert!(SketchFile::from_json("not json").is_err());
+        let mut file = SketchFile::new(spec, spec.build()).unwrap();
+        for mut bytes in [file.to_bytes(), file.delta_bytes()] {
+            let at = V2_MAGIC.len();
+            bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+            let err = if bytes.starts_with(V2_MAGIC) {
+                SketchFile::from_bytes(&bytes).err()
+            } else {
+                SketchDelta::from_bytes(&bytes).err()
+            };
+            assert_eq!(err, Some(WireError::Format { found: 2 }));
+        }
     }
 
     #[test]
     fn tampered_spec_seed_is_caught_at_load() {
         // Editing a file's declared seed to match a merge partner must not
-        // smuggle an incompatible state past the spec check into the
-        // panicking inner merge: load validates state against spec.
+        // smuggle a measurement under another projection's hashes into a
+        // coordinator: the checksum refuses the edited header at load.
         let spec = SketchSpec::new(SketchTask::Connectivity, 6).with_seed(8);
-        let file = SketchFile::new(spec, spec.build()).unwrap();
-        let tampered = file.to_json().replacen("\"seed\":8", "\"seed\":7", 1);
-        assert!(tampered.contains("\"seed\":7"), "spec seed was rewritten");
-        assert_eq!(
-            SketchFile::from_json(&tampered),
-            Err(WireError::StateMismatch)
-        );
+        let file = SketchFile::new(spec, fed(&spec, &[EdgeUpdate::insert(0, 1)])).unwrap();
+        let mut tampered = file.to_bytes();
+        let needle = b"\"seed\":8";
+        let at = tampered
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the spec header carries the seed");
+        tampered[at + needle.len() - 1] = b'7';
+        match SketchFile::from_bytes(&tampered) {
+            Err(WireError::Corrupt(detail)) => {
+                assert!(detail.contains("checksum"), "detail: {detail}")
+            }
+            other => panic!("expected checksum rejection, got {other:?}"),
+        }
     }
 
     #[test]
     fn absurd_state_dimensions_fail_without_allocating() {
-        // A tiny corrupt v1 file whose *state* declares a huge n must be
-        // rejected by the shape checks, not abort the process trying to
-        // allocate the declared bank.
+        // A tiny resealed file whose first bank declares a huge geometry
+        // must be refused by the geometry gate against the spec-built
+        // receiver, not abort the process allocating the declared lanes.
         let spec = SketchSpec::new(SketchTask::Connectivity, 5).with_seed(3);
         let file = SketchFile::new(spec, spec.build()).unwrap();
-        let tampered = file.to_json().replace("\"n\":5", "\"n\":99999999999");
-        assert!(SketchFile::from_json(&tampered).is_err());
+        let mut tampered = file.to_bytes();
+        let at = V2_MAGIC.len() + 4;
+        let spec_len = u32::from_le_bytes(tampered[at..at + 4].try_into().unwrap()) as usize;
+        let geom_at = at + 4 + spec_len + 4;
+        tampered[geom_at..geom_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut tampered);
+        assert!(matches!(
+            SketchFile::from_bytes(&tampered),
+            Err(WireError::Geometry { bank: 0, .. })
+        ));
     }
 
     #[test]
     fn unconstructible_v2_spec_header_is_an_error_not_a_panic() {
         // Sketch constructors assert on out-of-range spec values; a v2
         // file whose header declares such a spec must fail with a
-        // WireError (the build is contained like the v1 probe).
+        // WireError, never a panic.
         let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(4);
         let file = SketchFile::new(spec, spec.build()).unwrap();
         let mut bytes = file.to_bytes();

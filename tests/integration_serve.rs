@@ -315,6 +315,14 @@ fn hostile_frames_get_typed_errors_and_never_kill_the_server() {
             client.create("t2", "{\"not\": \"a spec\"}").unwrap_err(),
             ErrCode::Malformed,
         );
+        // A 100,000-deep JSON nest would overflow the handler thread's
+        // stack in an uncapped recursive parser, killing every tenant; the
+        // capped parser refuses it typed and the server keeps serving.
+        refused(
+            client.create("t3", &"[".repeat(100_000)).unwrap_err(),
+            ErrCode::Malformed,
+        );
+        assert_eq!(client.ping(b"after-deep").expect("ping"), b"after-deep");
         // A corrupt delta record: the wire taxonomy surfaces remotely.
         let mut worker = SketchFile::new(spec, spec.build()).unwrap();
         worker.state.absorb(&[EdgeUpdate::insert(0, 1)]);

@@ -183,6 +183,18 @@ fn hostile_spec_header_is_refused_typed_resealed() {
         Err(WireError::Spec(_)) => {}
         other => panic!("expected typed spec rejection, got {other:?}"),
     }
+    // A header that is 100,000 nested `[`: the spec parser refuses it
+    // typed instead of recursing until the stack overflows.
+    let deep = "[".repeat(100_000);
+    let mut hostile = bytes[..12].to_vec();
+    hostile.extend_from_slice(&(deep.len() as u32).to_le_bytes());
+    hostile.extend_from_slice(deep.as_bytes());
+    hostile.extend_from_slice(&bytes[16 + spec_len..]);
+    reseal(&mut hostile);
+    match SketchFile::from_bytes(&hostile) {
+        Err(WireError::Json(_)) => {}
+        other => panic!("expected typed JSON rejection, got {other:?}"),
+    }
 }
 
 #[test]

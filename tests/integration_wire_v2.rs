@@ -1,16 +1,15 @@
-//! Wire format v2 (binary) — cross-format bit-identity and rejection.
+//! Wire format v2 (binary) — bit-identity and rejection.
 //!
-//! For **every** [`SketchSpec`] task the full format gauntlet must be
-//! bit-exact: sketch → write v1 (JSON) → read → write v2 (binary) → read
-//! → decode equals the in-process decode, with the states structurally
-//! equal at every hop. And malformed binary files — truncations at every
-//! prefix, geometry tampering, bad magic — must be refused with a typed
-//! [`WireError`], never mis-loaded.
+//! For **every** [`SketchSpec`] task the format gauntlet must be
+//! bit-exact: sketch → write v2 → read → decode equals the in-process
+//! decode, with the states structurally equal and the bytes stable. And
+//! malformed binary files — truncations at every prefix, geometry
+//! tampering, bad magic — must be refused with a typed [`WireError`],
+//! never mis-loaded.
 
 use graph_sketches::api::{SketchSpec, SketchTask};
 use graph_sketches::wire::{v2_checksum, SketchFile, WireError, V2_MAGIC, WIRE_FORMAT_BIN};
 use gs_graph::gen;
-use gs_sketch::bank::CellBanked;
 use gs_sketch::EdgeUpdate;
 use gs_stream::distributed::sketch_central;
 use gs_stream::GraphStream;
@@ -59,18 +58,12 @@ fn fed_file(task: SketchTask) -> SketchFile {
 }
 
 #[test]
-fn v1_to_v2_gauntlet_is_bit_exact_for_every_task() {
+fn v2_gauntlet_is_bit_exact_for_every_task() {
     for task in SketchTask::ALL {
         let file = fed_file(task);
         let answer = file.decode();
 
-        // v1 JSON hop.
-        let v1_text = file.to_json();
-        let from_v1 = SketchFile::from_bytes(v1_text.as_bytes()).expect("v1 loads");
-        assert_eq!(from_v1.state, file.state, "{task:?}: v1 state drifted");
-
-        // v2 binary hop, written from the v1-loaded file.
-        let v2_bytes = from_v1.to_bytes();
+        let v2_bytes = file.to_bytes();
         assert!(v2_bytes.starts_with(V2_MAGIC));
         let from_v2 = SketchFile::from_bytes(&v2_bytes).expect("v2 loads");
         assert_eq!(from_v2.spec, file.spec, "{task:?}: spec drifted");
@@ -104,18 +97,6 @@ fn v2_merge_equals_central_for_every_task() {
 }
 
 #[test]
-fn v2_is_smaller_than_v1_json() {
-    // The point of the binary dump: no JSON inflation of i128 strings and
-    // per-cell object syntax. Not a strict contract, but a sanity bound a
-    // regression would trip loudly.
-    for task in [SketchTask::Connectivity, SketchTask::MinCut] {
-        let file = fed_file(task);
-        let (v1, v2) = (file.to_json().len(), file.to_bytes().len());
-        assert!(v2 < v1, "{task:?}: binary {v2} B >= JSON {v1} B");
-    }
-}
-
-#[test]
 fn truncated_v2_is_rejected_at_every_prefix() {
     let file = fed_file(SketchTask::Connectivity);
     let bytes = file.to_bytes();
@@ -140,11 +121,19 @@ fn bad_magic_is_rejected() {
     let file = fed_file(SketchTask::Connectivity);
     let mut bytes = file.to_bytes();
     bytes[0] ^= 0xFF;
-    // No longer the v2 magic and not UTF-8 JSON either.
     assert_eq!(SketchFile::from_bytes(&bytes), Err(WireError::BadMagic));
-    // Arbitrary non-sketch binary data is refused the same way.
+    // Arbitrary non-sketch binary data is refused the same way, and so is
+    // JSON text shaped like the retired format-1 sketch file.
     assert_eq!(
         SketchFile::from_bytes(&[0xFFu8, 0xFE, 0x00, 0x01]),
+        Err(WireError::BadMagic)
+    );
+    let json = format!(
+        "{{\"format\":1,\"spec\":{},\"state\":{{}}}}",
+        file.spec.to_json()
+    );
+    assert_eq!(
+        SketchFile::from_bytes(json.as_bytes()),
         Err(WireError::BadMagic)
     );
 }
@@ -228,34 +217,4 @@ fn trailing_bytes_are_rejected() {
         }
         other => panic!("expected trailing-byte rejection, got {other:?}"),
     }
-}
-
-#[test]
-fn v2_geometry_survives_the_v1_hop() {
-    // A sketch loaded from legacy v1 JSON (whose cell arrays carry no
-    // geometry) must still write a fully-structured v2 file: the load
-    // transplants the state into a spec-built sketch.
-    let file = fed_file(SketchTask::KEdgeWitness);
-    let fresh_geoms: Vec<_> = file.state.banks().iter().map(|b| b.geometry()).collect();
-    let from_v1 = SketchFile::from_bytes(file.to_json().as_bytes()).unwrap();
-    let loaded_geoms: Vec<_> = from_v1.state.banks().iter().map(|b| b.geometry()).collect();
-    assert_eq!(loaded_geoms, fresh_geoms);
-    assert!(fresh_geoms.iter().any(|g| g.reps > 1 || g.levels > 1));
-}
-
-#[test]
-fn legacy_v1_cell_arrays_still_load() {
-    // Pin the v1 serialization of the bank: an array of {w,s,f} cell
-    // objects, exactly what Vec<OneSparseCell> wrote before the bank
-    // existed. If this shape ever changes, files written by older builds
-    // stop loading — fail here first.
-    let file = fed_file(SketchTask::Connectivity);
-    let text = file.to_json();
-    assert!(
-        text.contains("\"cells\":[{\"w\":"),
-        "v1 cell arrays changed shape"
-    );
-    let reloaded = SketchFile::from_bytes(text.as_bytes()).unwrap();
-    assert_eq!(reloaded.state, file.state);
-    assert_eq!(reloaded.decode(), file.decode());
 }
