@@ -110,14 +110,8 @@ fn two_process_pipeline_matches_single_process() {
             let mut args = vec!["sketch"];
             args.extend(&task_args);
             args.extend(["--seed", "77", "--out", file]);
-            // Site b names the default format explicitly; both write v2.
-            if file == &b_file {
-                args.extend(["--format", "bin"]);
-            }
             let (_, err, code) = run(&args, part);
             assert_eq!(code, 0, "sketch failed: {err}");
-            let bytes = std::fs::read(file).unwrap();
-            assert!(bytes.starts_with(b"AGMSKB2\n"), "not a v2 file");
         }
         let (_, err, code) = run(&["merge", &a_file, &b_file, "--out", &merged_file], "");
         assert_eq!(code, 0, "merge failed: {err}");
@@ -382,6 +376,57 @@ fn decode_threads_flag_changes_nothing_but_wall_clock() {
     );
     assert_eq!(code, 2);
     assert!(err.contains("--threads"), "{err}");
+}
+
+#[test]
+fn binary_pipeline_matches_json_pipeline() {
+    // The same pipeline with the binary format named explicitly and three
+    // sites: site sketches, coordinator merge, decode. Binary (v2) is the
+    // only sketch-file format now, so the decoded answer must be
+    // byte-identical to the default pipeline's, i.e. to one process.
+    let n = 12;
+    let stream = demo_stream(n);
+    let dir = Scratch::new("binpipe");
+    let parts = split_lines(&stream, 3);
+    let mut files = Vec::new();
+    for (i, part) in parts.iter().enumerate() {
+        let f = dir.path(&format!("site{i}.sketch2"));
+        let (_, err, code) = run(
+            &[
+                "sketch",
+                "connectivity",
+                "--n",
+                "12",
+                "--seed",
+                "9",
+                "--format",
+                "bin",
+                "--out",
+                &f,
+            ],
+            part,
+        );
+        assert_eq!(code, 0, "binary sketch failed: {err}");
+        // The site file really is binary (v2 magic, not JSON).
+        let bytes = std::fs::read(&f).unwrap();
+        assert!(bytes.starts_with(b"AGMSKB2\n"), "not a v2 file");
+        files.push(f);
+    }
+    let merged = dir.path("merged.sketch2");
+    let mut args: Vec<&str> = vec!["merge"];
+    args.extend(files.iter().map(String::as_str));
+    args.extend(["--out", &merged]);
+    let (_, err, code) = run(&args, "");
+    assert_eq!(code, 0, "binary merge failed: {err}");
+    assert!(
+        std::fs::read(&merged).unwrap().starts_with(b"AGMSKB2\n"),
+        "merged file is not a v2 file"
+    );
+    let (decoded, _, code) = run(&["decode", &merged], "");
+    assert_eq!(code, 0);
+    let (central, _, code) = run(&["connectivity", "--n", "12", "--seed", "9"], &stream);
+    assert_eq!(code, 0);
+    assert_eq!(decoded, central, "binary pipeline answer differs");
 }
 
 #[test]
